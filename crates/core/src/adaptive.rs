@@ -27,10 +27,11 @@
 //! exploding the state space (only one vthread runs at a time, so
 //! relaxed counter races cannot occur under the checker).
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use solero_obs::ring::CachePadded;
 use solero_obs::AbortReason;
+use solero_runtime::thread::ThreadId;
 
 /// Number of abort taxonomy classes ([`AbortReason::ALL`]).
 const CLASSES: usize = 5;
@@ -170,6 +171,9 @@ struct PolicyState {
     retry_left: [AtomicU32; CLASSES],
     penalty: [AtomicU32; CLASSES],
     successes: AtomicU32,
+    /// The thread running a forfeited section, 0 when none (see
+    /// [`AdaptivePolicy::enter_skip`]).
+    skip_owner: AtomicU64,
 }
 
 /// The per-lock adaptive decision state machine. See the module docs
@@ -194,6 +198,7 @@ impl AdaptivePolicy {
                 retry_left,
                 penalty: std::array::from_fn(|_| AtomicU32::new(0)),
                 successes: AtomicU32::new(0),
+                skip_owner: AtomicU64::new(0),
             }),
         }
     }
@@ -222,11 +227,40 @@ impl AdaptivePolicy {
         }
     }
 
+    /// Claims the skip slot for one forfeited section (after an
+    /// [`EntryDecision::Acquire`]), first waiting out another thread's
+    /// forfeited section. Forfeited sections thus run one at a time:
+    /// were they to contend with each other for the lock, they would
+    /// inflate it on their own, and the speculation that re-arms after
+    /// the window would abort on that fat word and forfeit again — two
+    /// readers keeping each other forfeited on a lock no writer
+    /// touches. Re-entrant for the owner. The caller must not hold the
+    /// lock (the owner may be queued for it), and drops the slot after
+    /// the section's release.
+    pub(crate) fn enter_skip(&self, tid: ThreadId) -> SkipSlot<'_> {
+        let owner = &self.state.0.skip_owner;
+        let me = tid.as_u64();
+        loop {
+            match owner.compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed) {
+                Ok(_) => return SkipSlot(Some(self)),
+                Err(cur) if cur == me => return SkipSlot::NONE,
+                Err(_) => std::thread::yield_now(),
+            }
+        }
+    }
+
     /// Records one classified abort. Returns `true` when this abort
     /// forfeited elision *while it was enabled* (the disable edge,
     /// worth one `policy_disables` tick).
+    ///
+    /// An abort observed while a forfeited section runs is not charged:
+    /// that section holds or queues for the lock, so the interference
+    /// came from a reader, which forfeiting cannot get out of the way.
     pub fn on_abort(&self, reason: AbortReason) -> bool {
         let st = &self.state.0;
+        if st.skip_owner.load(Ordering::Relaxed) != 0 {
+            return false;
+        }
         let c = reason.index();
         st.successes.store(0, Ordering::Relaxed);
         let drained = st.retry_left[c]
@@ -286,6 +320,25 @@ impl AdaptivePolicy {
     /// See [`AdaptiveBudgets::max_forfeit`].
     pub fn max_forfeit(&self) -> u32 {
         self.budgets.max_forfeit()
+    }
+}
+
+/// The skip slot held by a forfeited section, from
+/// [`AdaptivePolicy::enter_skip`]; [`SkipSlot::NONE`] holds nothing.
+#[derive(Debug)]
+#[must_use = "the slot is held until the guard drops"]
+pub(crate) struct SkipSlot<'a>(Option<&'a AdaptivePolicy>);
+
+impl SkipSlot<'_> {
+    /// A slot that holds nothing (re-entry, or no policy).
+    pub(crate) const NONE: Self = SkipSlot(None);
+}
+
+impl Drop for SkipSlot<'_> {
+    fn drop(&mut self) {
+        if let Some(p) = self.0 {
+            p.state.0.skip_owner.store(0, Ordering::Release);
+        }
     }
 }
 
@@ -409,6 +462,35 @@ mod tests {
         assert!(p.on_abort(AbortReason::Inflation));
         assert!(matches!(p.on_entry(), EntryDecision::Acquire { .. }));
         assert!(p.on_elided(), "rearm period 0 ticks every success");
+    }
+
+    #[test]
+    fn skip_slot_is_exclusive_reentrant_and_shields_aborts() {
+        let p = AdaptivePolicy::new(AdaptiveBudgets::minimal());
+        let me = ThreadId::current();
+        let slot = p.enter_skip(me);
+        assert!(
+            matches!(p.enter_skip(me), SkipSlot(None)),
+            "re-entry by the owner holds nothing"
+        );
+        // A forfeited section is running: its interference is not
+        // charged, however hostile.
+        assert!(!p.on_abort(AbortReason::Inflation));
+        assert_eq!(p.probe().forfeit, 0);
+
+        let entered = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _other = p.enter_skip(ThreadId::current());
+                entered.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!entered.load(Ordering::SeqCst), "slot must wait for its owner");
+            drop(slot);
+        });
+        assert!(entered.load(Ordering::SeqCst));
+        // Slot free again: aborts are charged.
+        assert!(p.on_abort(AbortReason::Inflation));
     }
 
     #[test]

@@ -39,6 +39,7 @@ use solero_runtime::word::{
 
 use crate::config::{ElisionMode, SoleroConfig};
 use crate::lock::FLC_RECHECK;
+use crate::read::Attempt;
 
 /// Shared configuration and statistics for a population of compact
 /// locks.
@@ -614,17 +615,93 @@ impl<'a> CompactRef<'a> {
     /// `fallback_threshold` failures.
     pub fn read_only<R>(&self, mut f: impl FnMut() -> Result<R, Fault>) -> Result<R, Fault> {
         let stats = &self.space.stats;
-        let config = &self.space.config;
-        stats.read_enters.fetch_add(1, Ordering::Relaxed);
-        if config.elision == ElisionMode::NoElide {
+        if self.space.config.elision == ElisionMode::NoElide {
+            stats.read_enters.fetch_add(1, Ordering::Relaxed);
             let tid = ThreadId::current();
             self.enter_write(tid);
             let r = f();
             self.exit_write(tid);
             return r;
         }
+        // The inline first attempt. The space's stats are shared by
+        // every object in it, so an elided section books itself in the
+        // thread's stripe; any other outcome counts `read_enters` once.
+        let v = CompactWord(self.word.load(Ordering::Acquire));
+        let first = if v.is_elidable() {
+            match self.attempt(&mut f, v) {
+                Attempt::Elided(r) => {
+                    stats.note_fast_read();
+                    return Ok(r);
+                }
+                failed => failed,
+            }
+        } else {
+            Attempt::Retry(0)
+        };
+        stats.read_enters.fetch_add(1, Ordering::Relaxed);
+        self.read_slow(f, first)
+    }
+
+    /// One speculative execution of `f` against the captured elidable
+    /// word `v`: exit validation and the catch-block fault triage
+    /// (§3.3).
+    #[inline]
+    fn attempt<R>(&self, f: &mut impl FnMut() -> Result<R, Fault>, v: CompactWord) -> Attempt<R> {
+        let stats = &self.space.stats;
+        let config = &self.space.config;
+        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
+        config.barrier.read_entry_fence();
+        match f() {
+            Ok(r) => {
+                config.barrier.read_exit_fence();
+                if self.word.load(Ordering::Acquire) == v.raw() {
+                    return Attempt::Elided(r);
+                }
+                stats.elision_failure.fetch_add(1, Ordering::Relaxed);
+                self.note_abort(AbortReason::WordChangedAtExit);
+                Attempt::Retry(1)
+            }
+            Err(fault) => {
+                // Unchanged word means the reads were consistent: the
+                // fault is genuine.
+                if !fault.is_artifact_only() && self.word.load(Ordering::Acquire) == v.raw() {
+                    return Attempt::Done(Err(fault));
+                }
+                stats.speculative_faults.fetch_add(1, Ordering::Relaxed);
+                stats.elision_failure.fetch_add(1, Ordering::Relaxed);
+                self.note_abort(if fault == Fault::Inconsistent {
+                    AbortReason::AsyncRevalidationFail
+                } else {
+                    AbortReason::WordChangedAtExit
+                });
+                Attempt::Retry(1)
+            }
+        }
+    }
+
+    /// The read section past its first attempt: settles that attempt,
+    /// then retries, waits out a busy word, or runs under the lock
+    /// (recursion, fallback, or the fat monitor).
+    #[cold]
+    fn read_slow<R>(
+        &self,
+        mut f: impl FnMut() -> Result<R, Fault>,
+        first: Attempt<R>,
+    ) -> Result<R, Fault> {
+        let stats = &self.space.stats;
+        let config = &self.space.config;
         let mut failures = 0u32;
+        let mut attempt = Some(first);
         loop {
+            match attempt.take() {
+                Some(Attempt::Elided(r)) => {
+                    stats.elision_success.fetch_add(1, Ordering::Relaxed);
+                    return Ok(r);
+                }
+                Some(Attempt::Done(res)) => return res,
+                Some(Attempt::Retry(n)) => failures += n,
+                None => {}
+            }
             if failures >= config.fallback_threshold {
                 // Starvation freedom: acquire and run non-speculatively.
                 stats.fallback_acquires.fetch_add(1, Ordering::Relaxed);
@@ -638,38 +715,7 @@ impl<'a> CompactRef<'a> {
             }
             let v = CompactWord(self.word.load(Ordering::Acquire));
             if v.is_elidable() {
-                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
-                config.barrier.read_entry_fence();
-                let out = f();
-                match out {
-                    Ok(r) => {
-                        config.barrier.read_exit_fence();
-                        if self.word.load(Ordering::Acquire) == v.raw() {
-                            stats.elision_success.fetch_add(1, Ordering::Relaxed);
-                            return Ok(r);
-                        }
-                        stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                        self.note_abort(AbortReason::WordChangedAtExit);
-                        failures += 1;
-                    }
-                    Err(fault) => {
-                        // Catch-block validation (§3.3): unchanged word
-                        // means the reads were consistent — genuine.
-                        if !fault.is_artifact_only()
-                            && self.word.load(Ordering::Acquire) == v.raw()
-                        {
-                            return Err(fault);
-                        }
-                        stats.speculative_faults.fetch_add(1, Ordering::Relaxed);
-                        stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                        self.note_abort(if fault == Fault::Inconsistent {
-                            AbortReason::AsyncRevalidationFail
-                        } else {
-                            AbortReason::WordChangedAtExit
-                        });
-                        failures += 1;
-                    }
-                }
+                attempt = Some(self.attempt(&mut f, v));
                 continue;
             }
             // Busy at entry (Figure 8). Self-recursion runs under the

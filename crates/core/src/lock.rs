@@ -257,10 +257,16 @@ impl SoleroLock {
     /// Books one successful elision: the counter, plus the adaptive
     /// policy's success streak (a re-arm tick also decays the
     /// recent-abort history, so "recent" means an exponentially
-    /// weighted window on adaptive locks).
+    /// weighted window on adaptive locks). A `fast` elision books the
+    /// whole section — its `read_enters` too — in the thread's stats
+    /// stripe; a slow one has already counted its `read_enters`.
     #[inline]
-    pub(crate) fn note_elided(&self) {
-        self.stats.elision_success.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn note_elided(&self, fast: bool) {
+        if fast {
+            self.stats.note_fast_read();
+        } else {
+            self.stats.elision_success.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some(p) = &self.policy {
             if p.on_elided() {
                 self.recent.decay();

@@ -23,9 +23,25 @@ use solero_runtime::spin::Probe;
 use solero_runtime::thread::ThreadId;
 use solero_runtime::word::{SoleroWord, COUNTER_STEP, SOLERO_RECURSION_MAX, SOLERO_RECURSION_STEP};
 
+use crate::adaptive::SkipSlot;
 use crate::config::ElisionMode;
 use crate::lock::SoleroLock;
 use crate::session::{MostlySession, ReadSession};
+
+/// Outcome of one speculative attempt of the loop-shaped read paths
+/// (`CompactRef::read_only` and `SeqLock`'s reads). Their first attempt
+/// runs inline; anything but [`Attempt::Elided`] leaves the fast path
+/// and hands the outcome to the cold driver loop.
+pub(crate) enum Attempt<R> {
+    /// Completed and validated with the lock elided.
+    Elided(R),
+    /// The section is finished another way: a genuine fault, or a
+    /// result produced while holding the lock.
+    Done(Result<R, Fault>),
+    /// The attempt failed (already booked); add this many failures and
+    /// re-execute.
+    Retry(u32),
+}
 
 /// Outcome of settling one execution attempt.
 enum Settled<R> {
@@ -121,13 +137,18 @@ impl SoleroLock {
     /// The shared entry point: an inlined fast path (the code shape the
     /// paper's JIT emits at every read-only synchronized block) backed
     /// by the out-of-line retry/fallback driver.
+    ///
+    /// The fast path writes no shared cache line: a section that
+    /// elides on its first attempt books itself in the calling
+    /// thread's stats stripe. Every other branch bumps `read_enters`
+    /// once, on entry to that branch.
     #[inline]
     fn read_api<R>(
         &self,
         mut f: impl FnMut(&mut ReadSession<'_>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
         if self.config.elision == ElisionMode::NoElide {
+            self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
             return self.read_unelided(f);
         }
         // Adaptive consult: a forfeited entry acquires instead of
@@ -136,10 +157,20 @@ impl SoleroLock {
         // is counted separately as a policy skip.
         if let Some(p) = &self.policy {
             if let crate::adaptive::EntryDecision::Acquire { rearmed } = p.on_entry() {
+                self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
                 self.stats.policy_skips.fetch_add(1, Ordering::Relaxed);
                 if rearmed {
                     self.stats.policy_rearms.fetch_add(1, Ordering::Relaxed);
                 }
+                // A thread already holding the lock (a read nested in
+                // its own write section) must not wait for the skip
+                // slot: the slot's owner may be queued on this lock.
+                let tid = ThreadId::current();
+                let _slot = if self.holds(tid) {
+                    SkipSlot::NONE
+                } else {
+                    p.enter_skip(tid)
+                };
                 return self.read_unelided(f);
             }
         }
@@ -154,22 +185,25 @@ impl SoleroLock {
                 if !s.held {
                     self.config.barrier.read_exit_fence();
                     if self.exit_validates(s.v) {
-                        self.note_elided();
+                        self.note_elided(true);
                         return Ok(r);
                     }
                 }
                 // Completed but needs the slow exit / failed validation.
+                self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
                 match self.settle_attempt(Ok(r), s.v, s.held) {
                     Settled::Done(res) => return res,
                     Settled::Retry(failures) => return self.read_resume(f, failures),
                 }
             }
+            self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
             match self.settle_attempt(out, s.v, s.held) {
                 Settled::Done(res) => return res,
                 Settled::Retry(failures) => return self.read_resume(f, failures),
             }
         }
         // Busy at entry: slow entry, then the driver loop.
+        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
         self.read_busy_entry(f)
     }
 
@@ -243,7 +277,7 @@ impl SoleroLock {
                 // Figure 7, line 6: validate.
                 self.config.barrier.read_exit_fence();
                 if self.exit_validates(v) {
-                    self.note_elided();
+                    self.note_elided(false);
                     return Settled::Done(Ok(r));
                 }
                 // Figure 7, line 9: the lock may be held by us through a

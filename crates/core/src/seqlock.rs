@@ -46,9 +46,11 @@ use solero_obs::{AbortReason, EventKind, LockEvent, RecentAborts, SectionKind};
 use solero_runtime::fault::Fault;
 use solero_runtime::spin::Probe;
 use solero_runtime::stats::{LockStats, StatsSnapshot};
+use solero_runtime::thread::ThreadId;
 
-use crate::adaptive::{AdaptivePolicy, EntryDecision};
+use crate::adaptive::{AdaptivePolicy, EntryDecision, SkipSlot};
 use crate::config::{ElisionMode, SoleroConfig};
+use crate::read::Attempt;
 use crate::session::{Checkpoint, WriteIntent};
 use crate::strategy::SyncStrategy;
 
@@ -257,14 +259,27 @@ impl<T: SeqData> SeqLock<T> {
         solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Abort(reason)));
     }
 
+    /// Books one successful elision (see `SoleroLock::note_elided`):
+    /// a `fast` one books its whole section in the thread's stats
+    /// stripe.
     #[inline]
-    fn note_elided(&self) {
-        self.stats.elision_success.fetch_add(1, Ordering::Relaxed);
+    fn note_elided(&self, fast: bool) {
+        if fast {
+            self.stats.note_fast_read();
+        } else {
+            self.stats.elision_success.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some(p) = &self.policy {
             if p.on_elided() {
                 self.recent.decay();
             }
         }
+    }
+
+    /// Books one attempt whose exit re-validation failed.
+    fn note_changed_at_exit(&self) {
+        self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
+        self.note_abort(AbortReason::WordChangedAtExit);
     }
 
     /// The exit re-validation: the captured even word must still be
@@ -367,39 +382,83 @@ impl<T: SeqData> SeqLock<T> {
 
     // ---- typed inline fast paths --------------------------------------
 
-    /// Reads the payload — the inline fast path: capture the even
-    /// word, load the payload words, re-validate; retry and fall back
-    /// per the SOLERO taxonomy.
-    pub fn read_inline(&self) -> T {
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
+    /// Entry gate of both read paths: `Some` when the section must run
+    /// under the writer side — unelided mode, or an adaptive forfeit
+    /// (no speculation starts, so not an abort: a policy skip). Those
+    /// branches book their `read_enters` here; the caller keeps the
+    /// returned skip slot until the section has released.
+    #[inline]
+    fn locked_entry(&self) -> Option<SkipSlot<'_>> {
         if self.config.elision == ElisionMode::NoElide {
-            return self.read_locked();
+            self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
+            return Some(SkipSlot::NONE);
         }
         if let Some(p) = &self.policy {
             if let EntryDecision::Acquire { rearmed } = p.on_entry() {
+                self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
                 self.stats.policy_skips.fetch_add(1, Ordering::Relaxed);
                 if rearmed {
                     self.stats.policy_rearms.fetch_add(1, Ordering::Relaxed);
                 }
-                return self.read_locked();
+                return Some(p.enter_skip(ThreadId::current()));
             }
         }
+        None
+    }
+
+    /// Reads the payload — the inline fast path: capture the even
+    /// word, load the payload words, re-validate; retry and fall back
+    /// per the SOLERO taxonomy. A first attempt that validates writes
+    /// no shared cache line (it books itself in the stats stripe).
+    pub fn read_inline(&self) -> T {
+        if let Some(_slot) = self.locked_entry() {
+            return self.read_locked();
+        }
+        let v1 = self.seq.load(Ordering::Acquire);
+        let failures = if v1 & 1 == 0 {
+            match self.attempt_words(v1) {
+                Some(buf) => {
+                    self.note_elided(true);
+                    return Self::decode(&buf);
+                }
+                None => 1,
+            }
+        } else {
+            0
+        };
+        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
+        self.read_inline_slow(failures)
+    }
+
+    /// One speculative payload read against the captured even word:
+    /// the words if the exit re-validation passes, else `None` with
+    /// the failure booked.
+    #[inline]
+    fn attempt_words(&self, v1: u64) -> Option<[u64; SEQ_INLINE_WORDS]> {
+        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
+        self.config.barrier.read_entry_fence();
+        let buf = self.load_words();
+        self.config.barrier.read_exit_fence();
+        if self.exit_validates(v1) {
+            return Some(buf);
+        }
+        self.note_changed_at_exit();
+        None
+    }
+
+    /// The typed read past its first attempt: retries until the
+    /// failure budget is spent, then the fallback read.
+    #[cold]
+    fn read_inline_slow(&self, mut failures: u32) -> T {
         let threshold = self.config.fallback_threshold.max(1);
-        let mut failures = 0u32;
         while failures < threshold {
             let Some(v1) = self.speculative_entry() else {
                 break;
             };
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
-            self.config.barrier.read_entry_fence();
-            let buf = self.load_words();
-            self.config.barrier.read_exit_fence();
-            if self.exit_validates(v1) {
-                self.note_elided();
+            if let Some(buf) = self.attempt_words(v1) {
+                self.note_elided(false);
                 return Self::decode(&buf);
             }
-            self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-            self.note_abort(AbortReason::WordChangedAtExit);
             failures += 1;
         }
         self.fallback_read()
@@ -483,76 +542,112 @@ impl<T: SeqData> SeqLock<T> {
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
-        if self.config.elision == ElisionMode::NoElide {
+        if let Some(_slot) = self.locked_entry() {
             return self.locked_section(&mut f);
         }
-        if let Some(p) = &self.policy {
-            if let EntryDecision::Acquire { rearmed } = p.on_entry() {
-                self.stats.policy_skips.fetch_add(1, Ordering::Relaxed);
-                if rearmed {
-                    self.stats.policy_rearms.fetch_add(1, Ordering::Relaxed);
+        let v1 = self.seq.load(Ordering::Acquire);
+        let first = if v1 & 1 == 0 {
+            match self.attempt_section(&mut f, v1) {
+                Attempt::Elided(r) => {
+                    self.note_elided(true);
+                    return Ok(r);
                 }
-                return self.locked_section(&mut f);
+                failed => failed,
+            }
+        } else {
+            Attempt::Retry(0)
+        };
+        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
+        self.run_section_slow(f, first)
+    }
+
+    /// One speculative execution of `f` against the captured even word
+    /// `v1`, with its exit validation and fault triage.
+    #[inline]
+    fn attempt_section<R>(
+        &self,
+        f: &mut impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
+        v1: u64,
+    ) -> Attempt<R> {
+        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
+        self.config.barrier.read_entry_fence();
+        let mut session = SeqSession {
+            lock: self,
+            v: v1,
+            held: false,
+            polls: 0,
+        };
+        let out = f(&mut session);
+        if session.held {
+            // Upgraded mid-section: it held the writer side and may
+            // have written — release like a writer. Faults under the
+            // held lock are genuine and propagate.
+            self.writer_release(v1);
+            return Attempt::Done(out);
+        }
+        match out {
+            Ok(r) => {
+                self.config.barrier.read_exit_fence();
+                if self.exit_validates(v1) {
+                    return Attempt::Elided(r);
+                }
+                self.note_changed_at_exit();
+                Attempt::Retry(1)
+            }
+            Err(Fault::UpgradeFailed) => {
+                // Figure 17, line 13: straight to fallback; the abort
+                // is booked once, as RetryExhaustedFallback.
+                self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
+                Attempt::Retry(u32::MAX)
+            }
+            Err(fault) => {
+                // Catch-block triage (§3.3): an unchanged word means
+                // the reads were consistent — the fault is genuine.
+                if !fault.is_artifact_only() && v1 == self.seq.load(Ordering::Acquire) {
+                    return Attempt::Done(Err(fault));
+                }
+                self.stats
+                    .speculative_faults
+                    .fetch_add(1, Ordering::Relaxed);
+                self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
+                self.note_abort(if fault == Fault::Inconsistent {
+                    AbortReason::AsyncRevalidationFail
+                } else {
+                    AbortReason::WordChangedAtExit
+                });
+                Attempt::Retry(1)
             }
         }
+    }
+
+    /// The closure section past its first attempt: settles that
+    /// attempt, retries until the failure budget is spent, then runs
+    /// under the writer side.
+    #[cold]
+    fn run_section_slow<R>(
+        &self,
+        mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
+        first: Attempt<R>,
+    ) -> Result<R, Fault> {
         let threshold = self.config.fallback_threshold.max(1);
         let mut failures = 0u32;
-        while failures < threshold {
+        let mut attempt = first;
+        loop {
+            match attempt {
+                Attempt::Elided(r) => {
+                    self.note_elided(false);
+                    return Ok(r);
+                }
+                Attempt::Done(res) => return res,
+                Attempt::Retry(n) => failures = failures.saturating_add(n),
+            }
+            if failures >= threshold {
+                break;
+            }
             let Some(v1) = self.speculative_entry() else {
                 break;
             };
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
-            self.config.barrier.read_entry_fence();
-            let mut session = SeqSession {
-                lock: self,
-                v: v1,
-                held: false,
-                polls: 0,
-            };
-            let out = f(&mut session);
-            if session.held {
-                // Upgraded mid-section: it held the writer side and may
-                // have written — release like a writer. Faults under
-                // the held lock are genuine and propagate.
-                self.writer_release(v1);
-                return out;
-            }
-            match out {
-                Ok(r) => {
-                    self.config.barrier.read_exit_fence();
-                    if self.exit_validates(v1) {
-                        self.note_elided();
-                        return Ok(r);
-                    }
-                    self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                    self.note_abort(AbortReason::WordChangedAtExit);
-                    failures += 1;
-                }
-                Err(Fault::UpgradeFailed) => {
-                    // Figure 17, line 13: straight to fallback; the
-                    // abort is booked once, as RetryExhaustedFallback.
-                    self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(fault) => {
-                    // Catch-block triage (§3.3): an unchanged word means
-                    // the reads were consistent — the fault is genuine.
-                    if !fault.is_artifact_only() && v1 == self.seq.load(Ordering::Acquire) {
-                        return Err(fault);
-                    }
-                    self.stats
-                        .speculative_faults
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                    self.note_abort(if fault == Fault::Inconsistent {
-                        AbortReason::AsyncRevalidationFail
-                    } else {
-                        AbortReason::WordChangedAtExit
-                    });
-                    failures += 1;
-                }
-            }
+            attempt = self.attempt_section(&mut f, v1);
         }
         self.stats.fallback_acquires.fetch_add(1, Ordering::Relaxed);
         self.note_abort(AbortReason::RetryExhaustedFallback);

@@ -5,17 +5,46 @@
 //! in this reproduction carries a [`LockStats`] of relaxed atomic
 //! counters; the workload driver aggregates snapshots across locks and
 //! threads.
+//!
+//! An elided read writes no shared cache line, not even for its
+//! statistics: a read section that completes on a lock's elided fast
+//! path books itself with one increment of the calling thread's
+//! *stripe* ([`LockStats::note_fast_read`]), a private 128-byte
+//! counter picked by [`ThreadId`]. Every other outcome bumps the shared
+//! counters as before. [`LockStats::snapshot`] folds the stripe sum
+//! into both `read_enters` and `elision_success`, so the counts stay
+//! exact.
 
 use core::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use solero_testkit::pad::CachePadded;
+
+use crate::thread::ThreadId;
+
+/// Stripes per [`LockStats`]. Thread ids are handed out consecutively,
+/// so up to this many live threads each count in a line of their own;
+/// beyond that, threads share stripes (still exact, just contended).
+pub const STRIPES: usize = 16;
+
+/// The stripe the calling thread books its fast-path reads in.
+#[inline]
+pub fn stripe_of(tid: ThreadId) -> usize {
+    (tid.as_u64() % STRIPES as u64) as usize
+}
 
 macro_rules! counters {
     ($($(#[$m:meta])* $name:ident),+ $(,)?) => {
         /// Per-lock event counters. All increments are `Relaxed`; the
         /// counters are statistics, not synchronization.
+        ///
+        /// Read sections that finish on the elided fast path are not
+        /// in the public fields: they sit in per-thread stripes (see
+        /// the module docs) until [`LockStats::snapshot`] folds them in.
         #[derive(Debug, Default)]
         pub struct LockStats {
             $($(#[$m])* pub $name: AtomicU64,)+
+            fast_reads: [CachePadded<AtomicU64>; STRIPES],
         }
 
         /// A point-in-time copy of [`LockStats`].
@@ -25,16 +54,31 @@ macro_rules! counters {
         }
 
         impl LockStats {
-            /// Copies the counters.
+            /// Copies the counters, folding the fast-read stripes into
+            /// `read_enters` and `elision_success`. Like the per-field
+            /// loads, the stripe sum is not one atomic cut: a snapshot
+            /// taken while sections run may be mid-update, a quiescent
+            /// one is exact.
             pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
+                let mut s = StatsSnapshot {
                     $($name: self.$name.load(Ordering::Relaxed),)+
-                }
+                };
+                let fast: u64 = self
+                    .fast_reads
+                    .iter()
+                    .map(|c| c.load(Ordering::Relaxed))
+                    .sum();
+                s.read_enters += fast;
+                s.elision_success += fast;
+                s
             }
 
-            /// Resets every counter to zero.
+            /// Resets every counter, stripes included, to zero.
             pub fn reset(&self) {
                 $(self.$name.store(0, Ordering::Relaxed);)+
+                for c in &self.fast_reads {
+                    c.store(0, Ordering::Relaxed);
+                }
             }
         }
 
@@ -129,6 +173,18 @@ counters! {
     /// the slow write / retry-exhausted fallback path (arXiv 1305.5800).
     /// Zero while every probe succeeds without waiting.
     contention_backoffs,
+}
+
+impl LockStats {
+    /// Books one read section that completed on the elided fast path:
+    /// one `read_enters` and one `elision_success`, counted in the
+    /// calling thread's stripe rather than the shared fields. A fast
+    /// path calls this *instead of* bumping `read_enters`; every other
+    /// outcome bumps `read_enters` once on its own branch.
+    #[inline]
+    pub fn note_fast_read(&self) {
+        self.fast_reads[stripe_of(ThreadId::current())].fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 impl StatsSnapshot {
@@ -289,6 +345,37 @@ mod tests {
                 "inflation"
             ]
         );
+    }
+
+    #[test]
+    fn fast_reads_fold_into_both_counters_and_reset() {
+        let s = LockStats::default();
+        s.note_fast_read();
+        s.note_fast_read();
+        s.read_enters.fetch_add(1, Ordering::Relaxed);
+        let snap = s.snapshot();
+        assert_eq!(snap.read_enters, 3);
+        assert_eq!(snap.elision_success, 2);
+        s.reset();
+        assert_eq!(s.snapshot(), StatsSnapshot::default());
+    }
+
+    #[test]
+    fn consecutive_thread_ids_use_distinct_stripes() {
+        for first in [1u64, 7, STRIPES as u64, 1 << 40] {
+            let mut seen = [false; STRIPES];
+            for raw in first..first + STRIPES as u64 {
+                let i = stripe_of(ThreadId::from_raw(raw).unwrap());
+                assert!(!seen[i], "ids from {first}: stripe {i} reused");
+                seen[i] = true;
+            }
+        }
+    }
+
+    #[test]
+    fn stripes_are_line_sized() {
+        assert_eq!(std::mem::align_of::<LockStats>(), 128);
+        assert!(std::mem::size_of::<LockStats>() >= (STRIPES + 1) * 128);
     }
 
     #[test]

@@ -243,7 +243,10 @@ impl BravoLock {
         // re-check loads — the store→load edge a revoking writer's
         // mirror-image `rbias` store + slot scan relies on.
         if self.is_biased() {
-            self.stats.elision_success.fetch_add(1, Ordering::Relaxed);
+            // The whole section (its `read_enters` too) is booked in
+            // the thread's stats stripe: the fast path writes no
+            // shared line beyond its own visible-readers slot.
+            self.stats.note_fast_read();
             solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ReadAcquire));
             return Some(ReadToken::fast(slot));
         }
@@ -325,10 +328,10 @@ impl RawRwLock for BravoLock {
     // fast path is exactly the code a JIT flattens into the reader.
     #[inline]
     fn acquire_read(&self) -> ReadToken {
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = self.try_fast_read() {
             return t;
         }
+        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
         self.read_slow();
         ReadToken::slow()
     }
@@ -354,7 +357,6 @@ impl RawRwLock for BravoLock {
 
     fn try_acquire_read(&self) -> Option<ReadToken> {
         if let Some(t) = self.try_fast_read() {
-            self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
             return Some(t);
         }
         let t = self.underlying.try_acquire_read()?;

@@ -13,12 +13,20 @@
 //!   should forfeit elision within a budget's worth of sections and
 //!   re-arm once the burst ends.
 //!
+//! The burst is causal, not a race: a burst reader starts each section
+//! only after a write has completed since its previous one (it gates on
+//! the writers' progress counter), and the writers keep going until the
+//! *last* reader finishes. Readers therefore cannot run ahead of writers
+//! that have not been scheduled yet, however fast an elided read is.
+//! See [`BurstyBench::run_phase`] for how a read that must acquire is
+//! kept from starving behind the writers.
+//!
 //! [`BurstyBench::run_trajectory`] returns one [`PhaseReport`] (a
 //! windowed [`StatsSnapshot`] delta) per phase — the series behind
 //! `BENCH_adaptive.json` and the floor/ceiling assertions in
 //! `tests/adaptive_policy_stress.rs`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use solero::{BoxedStrategy, Fault};
 use solero_obs::json::JsonObject;
@@ -55,6 +63,18 @@ pub const PHASES: [Phase; 5] = [
     Phase::Burst,
     Phase::Quiet,
 ];
+
+/// Writes that may land during one burst read before the writers stand
+/// aside for it. An elided attempt takes a fraction of one write's hold,
+/// so a read still running after this many is waiting to acquire. Set
+/// well above that so the writers stay hot against speculation: at 4 the
+/// static SOLERO control, whose stalled readers re-speculate as soon as
+/// the word frees, elided 91% of its burst reads; at 32 it elides under
+/// 30%, with bursts no slower.
+pub const STALL_WRITES: u64 = 32;
+
+/// `started` value of a reader between reads.
+const IDLE: u64 = u64::MAX;
 
 /// Workload shape knobs.
 #[derive(Debug, Clone, Copy)]
@@ -187,24 +207,49 @@ impl BurstyBench {
     }
 
     /// Runs one phase to completion (each reader performs its
-    /// `reads_per_phase` sections; burst writers run until the readers
-    /// finish) and returns that phase's stats delta.
+    /// `reads_per_phase` sections; burst writers run until the last
+    /// reader finishes) and returns that phase's stats delta.
+    ///
+    /// A burst is causal: each read starts only after a write has
+    /// landed since the reader's previous one, so the readers can never
+    /// run ahead of writers the scheduler has not run yet. The writers
+    /// re-acquire back-to-back, which starves a reader that has to
+    /// *acquire* (a forfeited or fallen-back section) behind their
+    /// barging; so while a read is stalled — [`STALL_WRITES`] writes
+    /// have landed since it started — the writers stand aside until it
+    /// completes, and no new read starts meanwhile.
     pub fn run_phase(&self, phase: Phase, seed: u64) -> PhaseReport {
         let before = self.strat.snapshot();
-        let stop = AtomicBool::new(false);
         let writers = match phase {
             Phase::Quiet => 0,
             Phase::Burst => self.cfg.writers,
         };
+        let readers_left = AtomicUsize::new(self.cfg.readers);
+        let writes = CachePadded::new(AtomicU64::new(0));
+        // Per reader: the write count when its current read started,
+        // IDLE between reads.
+        let started: Vec<CachePadded<AtomicU64>> = (0..self.cfg.readers)
+            .map(|_| CachePadded::new(AtomicU64::new(IDLE)))
+            .collect();
+        let stalled = |now: u64| {
+            started.iter().any(|s| {
+                let at = s.load(Ordering::Acquire);
+                at != IDLE && now >= at + STALL_WRITES
+            })
+        };
         std::thread::scope(|s| {
             for w in 0..writers {
-                let stop = &stop;
+                let (readers_left, writes, stalled) = (&readers_left, &writes, &stalled);
                 let strat = &self.strat;
                 let cells = &self.cells;
                 let hold = self.cfg.writer_hold_spin;
                 let mut rng = TestRng::seed_from_u64(seed ^ (0xB065_7000 + w as u64));
                 s.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
+                    while readers_left.load(Ordering::Relaxed) > 0 {
+                        if stalled(writes.load(Ordering::Acquire)) {
+                            std::thread::yield_now();
+                            continue;
+                        }
                         let k = rng.gen_range(0..cells.len());
                         strat.write_with(|| {
                             // Hold the lock hot: the spin sets the duty
@@ -215,17 +260,32 @@ impl BurstyBench {
                             }
                             cells[k].fetch_add(1, Ordering::Relaxed);
                         });
+                        writes.fetch_add(1, Ordering::Release);
                     }
                 });
             }
-            for r in 0..self.cfg.readers {
-                let stop = &stop;
+            for (r, started) in started.iter().enumerate() {
+                let (readers_left, writes, stalled) = (&readers_left, &writes, &stalled);
                 let strat = &self.strat;
                 let cells = &self.cells;
                 let reads = self.cfg.reads_per_phase;
                 let mut rng = TestRng::seed_from_u64(seed ^ (0x5EAD_E000 + r as u64));
                 s.spawn(move || {
+                    let mut seen = 0;
                     for _ in 0..reads {
+                        if writers > 0 {
+                            // The causal gate: a fresh write, and no
+                            // stalled read the writers are waiting out.
+                            loop {
+                                let now = writes.load(Ordering::Acquire);
+                                if now > seen && !stalled(now) {
+                                    seen = now;
+                                    break;
+                                }
+                                std::hint::spin_loop();
+                            }
+                            started.store(seen, Ordering::Release);
+                        }
                         let a = rng.gen_range(0..cells.len());
                         let b = rng.gen_range(0..cells.len());
                         let _ = strat
@@ -236,8 +296,9 @@ impl BurstyBench {
                                 Ok::<_, Fault>(x.wrapping_add(y))
                             })
                             .expect("pure reads cannot genuinely fault");
+                        started.store(IDLE, Ordering::Release);
                     }
-                    stop.store(true, Ordering::Relaxed);
+                    readers_left.fetch_sub(1, Ordering::Relaxed);
                 });
             }
         });

@@ -187,6 +187,23 @@ for seed in "${PINNED_SEEDS[@]}"; do
         --test contention_props
 done
 
+# The ratio assertions of the adaptive-policy and BRAVO stress tests
+# (burst elision below its ceiling, fast path above its floor) hold by
+# construction of their workloads, not by scheduling luck. Repeating
+# them keeps one lucky run from hiding a ratio failure.
+echo "== tier-1: scheduler-sensitive ratio tests (5 repeats) =="
+for i in 1 2 3 4 5; do
+    echo "-- repeat ${i}/5"
+    cargo test -q --offline --test adaptive_policy_stress --test bravo_reader_scaling
+done
+
+# The repo benchmark's elided-read workload end to end, traced: the
+# binary exits non-zero on an oracle or teardown violation (a wrong
+# read, an unbalanced abort taxonomy, a leaked monitor entry).
+echo "== tier-1: perfbench map-read smoke (traced) =="
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload map-read --seconds 2 --trace 1 > /dev/null
+
 # The adaptive trajectory bench must keep producing a well-formed
 # document (the full-size run is checked in as BENCH_adaptive.json; the
 # quick run here proves the pipeline, not the numbers).
