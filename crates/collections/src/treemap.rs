@@ -8,12 +8,25 @@
 //! NODE object: [key, value, left, right, parent, color]  (0 red, 1 black)
 //! ```
 //!
-//! `get`/`first_key`/`entries` are read-only and poll the validation
-//! [`Checkpoint`] at every descent/walk step, so a speculatively
-//! observed cycle (e.g. a rotation racing with the traversal) cannot
-//! loop forever. `put`/`remove` implement the standard insertion and
-//! deletion fix-ups (ported from `java.util.TreeMap`) and must run under
-//! the evaluated lock.
+//! `get`/`first_key`/`floor_key`/`entries` are read-only and poll the
+//! validation [`Checkpoint`] at every descent/walk step, so a
+//! speculatively observed cycle (e.g. a rotation racing with the
+//! traversal) cannot loop forever. `put`/`remove` implement the standard
+//! insertion and deletion fix-ups (ported from `java.util.TreeMap`) and
+//! must run under the evaluated lock.
+//!
+//! Every key-directed descent (`get`, `floor_key` and the locate loops
+//! of `put` and `remove`) goes through one step, `JTreeMap::step`. Its
+//! only data-dependent branch is the equality test, taken once per
+//! descent. The child is then loaded from slot `N_LEFT + (key > k)`:
+//! the left and right links are adjacent, so the comparison feeds the
+//! load address as data instead of steering a branch that random keys
+//! mispredict at about half the levels. Each level loads the key and
+//! the one child the comparison picks, with the heap's usual null,
+//! stale, class and bounds checks, and a torn speculative key still
+//! selects slot 2 or 3.
+
+use std::hint::select_unpredictable;
 
 use solero::Checkpoint;
 use solero_heap::{ClassId, Fault, Heap, ObjRef};
@@ -35,8 +48,20 @@ const N_PARENT: u32 = 4;
 const N_COLOR: u32 = 5;
 const NODE_FIELDS: u32 = 6;
 
+// `JTreeMap::step` picks a child as `N_LEFT + (key > k)`.
+const _: () = assert!(N_RIGHT == N_LEFT + 1);
+
 const RED: i64 = 0;
 const BLACK: i64 = 1;
+
+/// Outcome of [`JTreeMap::step`].
+enum Step {
+    /// The node holds the key sought.
+    Hit,
+    /// The key lies below the node's `slot` link (`N_LEFT` or `N_RIGHT`),
+    /// which holds `child`; `k` is the node's key.
+    Down { k: i64, slot: u32, child: ObjRef },
+}
 
 /// A `java.util.TreeMap<long, long>` equivalent on the shadow heap.
 ///
@@ -114,14 +139,10 @@ impl JTreeMap {
         let mut n = heap.load_ref(self.root_obj, TMAP_CLASS, F_ROOT)?;
         while !n.is_null() {
             ck.checkpoint()?;
-            let k = heap.load_i64(n, TNODE_CLASS, N_KEY)?;
-            n = match key.cmp(&k) {
-                std::cmp::Ordering::Less => heap.load_ref(n, TNODE_CLASS, N_LEFT)?,
-                std::cmp::Ordering::Greater => heap.load_ref(n, TNODE_CLASS, N_RIGHT)?,
-                std::cmp::Ordering::Equal => {
-                    return Ok(Some(heap.load_i64(n, TNODE_CLASS, N_VALUE)?))
-                }
-            };
+            match Self::step(heap, n, key)? {
+                Step::Hit => return Ok(Some(heap.load_i64(n, TNODE_CLASS, N_VALUE)?)),
+                Step::Down { child, .. } => n = child,
+            }
         }
         Ok(None)
     }
@@ -175,13 +196,13 @@ impl JTreeMap {
         let mut best = None;
         while !n.is_null() {
             ck.checkpoint()?;
-            let k = heap.load_i64(n, TNODE_CLASS, N_KEY)?;
-            match key.cmp(&k) {
-                std::cmp::Ordering::Less => n = heap.load_ref(n, TNODE_CLASS, N_LEFT)?,
-                std::cmp::Ordering::Equal => return Ok(Some(k)),
-                std::cmp::Ordering::Greater => {
-                    best = Some(k);
-                    n = heap.load_ref(n, TNODE_CLASS, N_RIGHT)?;
+            match Self::step(heap, n, key)? {
+                Step::Hit => return Ok(Some(key)),
+                Step::Down { k, slot, child } => {
+                    // A right turn passed a key below `key`: the newest
+                    // such key is the floor so far.
+                    best = select_unpredictable(slot == N_RIGHT, Some(k), best);
+                    n = child;
                 }
             }
         }
@@ -224,6 +245,26 @@ impl JTreeMap {
             }
         }
         Ok(out)
+    }
+
+    // ---- descent ---------------------------------------------------
+
+    /// One descent step toward `key` from the non-null node `n`.
+    ///
+    /// Branches only on equality; the child slot is computed, so the
+    /// direction reaches the load address as data (see the module docs).
+    #[inline(always)]
+    fn step(heap: &Heap, n: ObjRef, key: i64) -> Result<Step, Fault> {
+        let k = heap.load_i64(n, TNODE_CLASS, N_KEY)?;
+        if key == k {
+            return Ok(Step::Hit);
+        }
+        let slot = N_LEFT + u32::from(key > k);
+        Ok(Step::Down {
+            k,
+            slot,
+            child: heap.load_ref(n, TNODE_CLASS, slot)?,
+        })
     }
 
     // ---- writer-side helpers (null-safe, as in java.util.TreeMap) --
@@ -360,39 +401,20 @@ impl JTreeMap {
             heap.store_i64(self.root_obj, F_SIZE, 1)?;
             return Ok(None);
         }
-        let parent;
-        loop {
-            let k = Self::key(heap, t)?;
-            match key.cmp(&k) {
-                std::cmp::Ordering::Equal => {
+        // The empty slot the descent stopped at is where `key` links in.
+        let (parent, slot) = loop {
+            match Self::step(heap, t, key)? {
+                Step::Hit => {
                     let old = heap.load_i64(t, TNODE_CLASS, N_VALUE)?;
                     heap.store_i64(t, N_VALUE, value)?;
                     return Ok(Some(old));
                 }
-                std::cmp::Ordering::Less => {
-                    let l = Self::left_of(heap, t)?;
-                    if l.is_null() {
-                        parent = t;
-                        break;
-                    }
-                    t = l;
-                }
-                std::cmp::Ordering::Greater => {
-                    let r = Self::right_of(heap, t)?;
-                    if r.is_null() {
-                        parent = t;
-                        break;
-                    }
-                    t = r;
-                }
+                Step::Down { slot, child, .. } if child.is_null() => break (t, slot),
+                Step::Down { child, .. } => t = child,
             }
-        }
+        };
         let n = self.new_node(heap, key, value, parent)?;
-        if key < Self::key(heap, parent)? {
-            Self::set_left(heap, parent, n)?;
-        } else {
-            Self::set_right(heap, parent, n)?;
-        }
+        heap.store_ref(parent, slot, n)?;
         self.fix_after_insertion(heap, n)?;
         let size = heap.load_i64(self.root_obj, TMAP_CLASS, F_SIZE)? + 1;
         heap.store_i64(self.root_obj, F_SIZE, size)?;
@@ -475,16 +497,14 @@ impl JTreeMap {
     pub fn remove(&self, heap: &Heap, key: i64) -> Result<Option<i64>, Fault> {
         // Locate the node (writer-side: no checkpoints needed).
         let mut p = self.tree_root(heap)?;
-        while !p.is_null() {
-            let k = Self::key(heap, p)?;
-            match key.cmp(&k) {
-                std::cmp::Ordering::Less => p = Self::left_of(heap, p)?,
-                std::cmp::Ordering::Greater => p = Self::right_of(heap, p)?,
-                std::cmp::Ordering::Equal => break,
+        loop {
+            if p.is_null() {
+                return Ok(None);
             }
-        }
-        if p.is_null() {
-            return Ok(None);
+            match Self::step(heap, p, key)? {
+                Step::Hit => break,
+                Step::Down { child, .. } => p = child,
+            }
         }
         let old = heap.load_i64(p, TNODE_CLASS, N_VALUE)?;
         self.delete_entry(heap, p)?;

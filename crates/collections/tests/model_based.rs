@@ -103,6 +103,60 @@ fn treemap_floor_matches_model() {
     });
 }
 
+/// Every key-directed descent (`get`, `floor_key`, and the locate loops
+/// of `put` and `remove`) against a `BTreeMap` oracle. Stored keys are
+/// even, so each odd probe falls strictly between two neighbours or
+/// outside the key range. After every mutation the tree is probed at
+/// every stored key, between each pair of neighbours, just below the
+/// minimum, just above the maximum, and at both ends of `i64`.
+#[test]
+fn treemap_descents_match_btreemap_oracle() {
+    forall(128, 0xDE5C, |g| {
+        let n_ops = g.size(1, 200);
+        let heap = Heap::new(1 << 20);
+        let map = JTreeMap::new(&heap).unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        let mut ck = NullCheckpoint;
+        for _ in 0..n_ops {
+            let key = 2 * g.gen_range(-40i64..40);
+            let existing = model.keys().nth(g.gen_range(0..model.len().max(1))).copied();
+            match (g.gen_range(0u32..4), existing) {
+                // Overwrite a present key: the old value comes back.
+                (0, Some(k)) => {
+                    let v = g.gen::<i64>();
+                    let old = model.insert(k, v);
+                    assert!(old.is_some());
+                    assert_eq!(map.put(&heap, k, v).unwrap(), old, "overwrite {k}");
+                }
+                // Remove an absent (odd) key: `None`, nothing changes.
+                (1, _) => {
+                    assert_eq!(map.remove(&heap, key + 1).unwrap(), None, "absent {}", key + 1);
+                }
+                (2, _) => {
+                    assert_eq!(map.remove(&heap, key).unwrap(), model.remove(&key), "remove {key}");
+                }
+                _ => {
+                    let v = g.gen::<i64>();
+                    assert_eq!(map.put(&heap, key, v).unwrap(), model.insert(key, v), "put {key}");
+                }
+            }
+            assert_eq!(map.len(&heap).unwrap(), model.len());
+            map.check_invariants(&heap).unwrap();
+
+            let mut probes = vec![i64::MIN, i64::MAX];
+            if let (Some(&lo), Some(&hi)) = (model.keys().next(), model.keys().next_back()) {
+                probes.extend([lo - 1, hi + 1]);
+            }
+            probes.extend(model.keys().flat_map(|&k| [k, k + 1]));
+            for p in probes {
+                assert_eq!(map.get(&heap, p, &mut ck).unwrap(), model.get(&p).copied(), "get {p}");
+                let floor = model.range(..=p).next_back().map(|(&k, _)| k);
+                assert_eq!(map.floor_key(&heap, p, &mut ck).unwrap(), floor, "floor {p}");
+            }
+        }
+    });
+}
+
 /// Concurrency: speculative SOLERO readers racing a writer must only
 /// ever *return* values that were actually stored for that key (torn
 /// observations must be filtered out by validation).

@@ -32,11 +32,22 @@
 //! replays with the same collision pattern.
 #![cfg(solero_mc)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use solero_mc::{spawn, Checker};
 use solero_rwlock::{BravoLock, BravoPolicy, RawRwLock};
 use solero_sync::atomic::{AtomicU64, Ordering};
+
+/// Held by each test for its whole search. The tests share the global
+/// visible-readers table, so two searches run side by side (the test
+/// harness's default) would perturb each other's slots and make a
+/// replayed prefix diverge. A failed test poisons the lock; the next
+/// one still runs.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One fast-path reader snapshotting a pair the writer updates. Panics
 /// (killing the schedule) if exclusion or the teardown invariants fail.
@@ -87,6 +98,7 @@ fn one_reader_one_writer() {
 /// vs clear/scan handshake, including the writer parking mid-scan.
 #[test]
 fn bravo_reader_never_torn_dfs() {
+    let _serial = serial();
     let stats = Checker::exhaustive()
         .preemption_bound(Some(3))
         .check("bravo_snapshot_dfs", one_reader_one_writer)
@@ -103,6 +115,7 @@ fn bravo_reader_never_torn_dfs() {
 /// ordering would surface here as a torn pair or a stuck scan.
 #[test]
 fn bravo_publish_revoke_handshake_survives_tso() {
+    let _serial = serial();
     let stats = Checker::exhaustive()
         .preemption_bound(Some(3))
         .weak_memory(true)
@@ -120,6 +133,7 @@ fn bravo_publish_revoke_handshake_survives_tso() {
 /// hold on every branch of it.
 #[test]
 fn bravo_rebias_cycle_dpor() {
+    let _serial = serial();
     let stats = Checker::dpor()
         .check("bravo_rebias_dpor", || {
             let lock = Arc::new(BravoLock::with_policy(BravoPolicy::minimal()));

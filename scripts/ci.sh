@@ -204,6 +204,13 @@ echo "== tier-1: perfbench map-read smoke (traced) =="
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload map-read --seconds 2 --trace 1 > /dev/null
 
+# The same for the TreeMap workload, whose paced writer rebalances the
+# tree under the elided reader: a non-zero exit covers the red-black
+# invariants, the base-key oracle and the taxonomy balance at teardown.
+echo "== tier-1: perfbench tree-writer smoke (traced) =="
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload tree-writer --seconds 2 --trace 1 > /dev/null
+
 # The adaptive trajectory bench must keep producing a well-formed
 # document (the full-size run is checked in as BENCH_adaptive.json; the
 # quick run here proves the pipeline, not the numbers).
