@@ -13,9 +13,12 @@
 //! omission). Keys are Zipfian (θ = 0.99 over ≥1M keys in the full
 //! run), scrambled across the range shards; a background checkpointer
 //! takes whole-store snapshots throughout, exactly the workload the
-//! store's epoch handshake exists for. Each strategy's cell reports
-//! p50/p99/p999 latency, achieved vs offered throughput, and the abort
-//! taxonomy.
+//! store's lock-validated snapshots exist for: the shard's strategy
+//! lock is the only validator, so every store read abort is the lock's
+//! own: `locked_at_entry`, `word_changed_at_exit`, or
+//! `async_revalidation_fail` from a scan's per-bucket check-point.
+//! Each strategy's cell reports p50/p99/p999 latency, achieved vs
+//! offered throughput, and the abort taxonomy.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -189,13 +189,11 @@ impl SoleroLock {
         self.holds(ThreadId::current())
     }
 
-    /// Runs `f` as a writing critical section.
+    /// Runs `f` as a writing critical section. The lock is released
+    /// even if `f` panics.
     pub fn write<R>(&self, f: impl FnOnce() -> R) -> R {
-        let tid = ThreadId::current();
-        let t = self.enter_write(tid);
-        let r = f();
-        self.exit_write(tid, t);
-        r
+        let _guard = self.lock_write();
+        f()
     }
 
     /// Acquires the lock for writing, returning a guard.
@@ -712,6 +710,28 @@ mod tests {
             assert!(l.is_locked());
             assert!(l.held_by_current());
         }
+        assert!(!l.is_locked());
+    }
+
+    #[test]
+    fn panicking_write_section_releases_the_lock() {
+        let l = std::sync::Arc::new(SoleroLock::new());
+        let c0 = l.raw_word().counter().unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            l.write(|| panic!("write section panics"))
+        }));
+        assert!(caught.is_err());
+        assert!(!l.is_locked(), "a panicking write section left the lock held");
+        assert_eq!(l.raw_word().counter().unwrap(), c0 + 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let l2 = std::sync::Arc::clone(&l);
+        // Joined only once it has answered: if the lock leaked, the
+        // writer never returns and the timeout fails the test instead of
+        // hanging the suite.
+        let second = std::thread::spawn(move || tx.send(l2.write(|| 7)));
+        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(got, Ok(7), "a second thread's write must return");
+        second.join().unwrap().unwrap();
         assert!(!l.is_locked());
     }
 

@@ -25,7 +25,7 @@ use solero_runtime::word::{SoleroWord, COUNTER_STEP, SOLERO_RECURSION_MAX, SOLER
 
 use crate::adaptive::SkipSlot;
 use crate::config::ElisionMode;
-use crate::lock::SoleroLock;
+use crate::lock::{SoleroLock, WriteTicket};
 use crate::session::{MostlySession, ReadSession};
 
 /// Outcome of one speculative attempt of the loop-shaped read paths
@@ -207,19 +207,21 @@ impl SoleroLock {
         self.read_busy_entry(f)
     }
 
-    /// Unelided-SOLERO: execute the read section as a writing critical
-    /// section (the Figure 10 ablation).
+    /// Unelided-SOLERO (the Figure 10 ablation) and adaptive policy
+    /// skips: execute the read section under the acquired lock. It takes
+    /// the fallback path's acquisition and, like a fallback, books a read
+    /// section only — never a `write_enters`.
     #[cold]
     fn read_unelided<R>(
         &self,
         mut f: impl FnMut(&mut ReadSession<'_>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         let tid = ThreadId::current();
-        let t = self.enter_write(tid);
-        let v1 = t.v1;
+        let v1 = self.slow_enter_write(tid);
+        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
         let mut s = ReadSession::new(self, v1, true);
         let r = f(&mut s);
-        self.exit_write(tid, t);
+        self.exit_write(tid, WriteTicket { v1 });
         r
     }
 

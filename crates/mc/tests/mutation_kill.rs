@@ -6,7 +6,9 @@
 //!
 //! This lives in its own test binary (its own process) because the
 //! mutation switch is process-global: the scenarios in
-//! `tests/protocol.rs` must never run mutated.
+//! `tests/protocol.rs` and `tests/store_mc.rs` must never run mutated.
+//! The store kill shares its scenario with `store_mc.rs` through
+//! `tests/support/store_scenario.rs`.
 //!
 //! Build with `RUSTFLAGS="--cfg solero_mc"` (see scripts/ci.sh).
 #![cfg(solero_mc)]
@@ -17,6 +19,9 @@ use solero::{mutation, Fault, SoleroConfig, SoleroLock};
 use solero_heap::{ClassId, Heap};
 use solero_mc::{spawn, Checker};
 use solero_runtime::spin::SpinConfig;
+
+#[path = "support/store_scenario.rs"]
+mod store_scenario;
 
 const PAIR: ClassId = ClassId::new(7);
 
@@ -178,6 +183,37 @@ fn every_mutation_is_killed() {
 
         mutation::set(mutation::NONE);
     }
+
+    // The store: the shard's strategy lock is its only validator, so
+    // a lock that skips its exit re-read must let the writer-vs-scanner
+    // search validate a half-installed batch. DPOR under TSO, the same
+    // search `store_mc.rs` drains clean with the switch off.
+    let name = "store_skip_exit_reread";
+    mutation::set(mutation::SKIP_EXIT_REREAD);
+    let search = Checker::dpor()
+        .weak_memory(true)
+        .check(name, store_scenario::writer_vs_scanner);
+    match search {
+        Err(violation) => {
+            println!("killed {name}: {violation}");
+            assert!(
+                violation.message.contains("mixed-epoch snapshot"),
+                "{name} must die on a mixed cut, got: {violation}"
+            );
+            for _ in 0..2 {
+                let replayed = Checker::replay(&violation.trace)
+                    .weak_memory(true)
+                    .check(name, store_scenario::writer_vs_scanner)
+                    .expect_err("recorded trace must reproduce the kill");
+                assert_eq!(replayed.message, violation.message, "{name} replay diverged");
+            }
+        }
+        Ok(_) if solero_mc::budget_overridden() => {
+            eprintln!("mc[{name}] kill skipped: SOLERO_MC_BUDGET capped the search");
+        }
+        Ok(_) => panic!("mutation {name} survived a full search"),
+    }
+    mutation::set(mutation::NONE);
 
     // And with the switch back off, the protocol passes again.
     checker()

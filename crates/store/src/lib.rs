@@ -13,29 +13,31 @@
 //! The key space `[0, keys)` is **range-sharded**. Each shard owns
 //!
 //! * a [`solero::DynSyncStrategy`] lock (any fleet contender, boxed),
-//! * a seqlock-style **epoch counter** (odd = install in progress;
-//!   the shard *version* is `epoch >> 1`),
+//! * a **version** counter (completed write batches),
 //! * a directory object whose slots point at fixed-width **bucket**
 //!   objects holding `[presence bitmap, v0, v1, …]`.
 //!
-//! Writers never mutate a live bucket. A write batch builds new bucket
-//! copies off to the side (**copy-on-write**), then runs the install
-//! handshake under the shard's write lock: bump the epoch to odd,
-//! swing the directory slots, bump the epoch to even, free the old
-//! buckets. Readers run as elided read-only sections that capture the
-//! epoch at entry, read values, and validate **both** the lock word
-//! (the paper's machinery) and epoch stability at exit. Instability
-//! surfaces as [`Fault::Inconsistent`], which the elision driver
-//! classifies as an `async_revalidation_fail` abort and retries — the
-//! store adds no recovery machinery of its own, it rides the existing
-//! taxonomy.
+//! Writers never mutate a live bucket. A write batch runs as one write
+//! section of the shard's lock: it builds new bucket copies off to the
+//! side (**copy-on-write**), swings the directory slots, steps the
+//! version and frees the old buckets. Readers run as one read section
+//! each, and the strategy lock is their **only** validator: a reader
+//! either excludes the writer (Lock, RWLock, BRAVO) or validates a word
+//! that every write section changes (SOLERO, Adaptive-SOLERO, SeqLock).
+//! A speculative read that overlapped an install fails that validation
+//! and is retried by the elision driver, booked as a `locked_at_entry`
+//! or `word_changed_at_exit` abort (or `async_revalidation_fail` when a
+//! scan's per-bucket check-point sees the word move) — the store adds no
+//! recovery machinery of its own, it rides the existing taxonomy.
 //!
-//! A validated snapshot is therefore **single-epoch by construction**:
-//! the background checkpointer calls [`KvStore::checkpoint`] and gets a
-//! cut in which every shard's pairs belong to exactly the version the
-//! snapshot is tagged with — never a mix of two installs. The model
-//! checker drains this claim under DFS, DPOR and TSO store buffers
-//! (`crates/mc/tests/store_mc.rs`).
+//! A validated snapshot is therefore **single-version by
+//! construction**: the version is read in the same section as the
+//! pairs, so the background checkpointer calls [`KvStore::checkpoint`]
+//! and gets a cut in which every shard's pairs belong to exactly the
+//! version the snapshot is tagged with — never a mix of two installs.
+//! The model checker drains this claim under DFS, DPOR and TSO store
+//! buffers (`crates/mc/tests/store_mc.rs`), and kills a store whose
+//! lock skips its exit validation (`crates/mc/tests/mutation_kill.rs`).
 //!
 //! # Quick start
 //!
@@ -47,12 +49,12 @@
 //! store.put(7, 70).unwrap();
 //! assert_eq!(store.get(7).unwrap(), Some(70));
 //!
-//! // Bounded range-scan: one elided section (and one validation) per
-//! // shard segment, not one per key.
+//! // Bounded range-scan: one elided section (and one lock validation)
+//! // per shard segment, not one per key.
 //! assert_eq!(store.scan(0, 16).unwrap(), vec![(7, 70)]);
 //!
-//! // Whole-store checkpoint: every shard snapshot is epoch-tagged and
-//! // internally single-epoch.
+//! // Whole-store checkpoint: every shard snapshot is version-tagged and
+//! // internally single-version.
 //! let cut = store.checkpoint().unwrap();
 //! assert_eq!(cut.len(), 1);
 //! ```

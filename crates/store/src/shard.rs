@@ -1,13 +1,14 @@
-//! One shard: a strategy lock, an epoch counter, and a COW bucket
-//! directory. All cross-thread visibility flows through the
-//! `solero-sync` facade so the model checker sees every step of the
-//! install handshake.
+//! One shard: a strategy lock, a version counter, and a COW bucket
+//! directory. The strategy lock is the shard's only validator: every
+//! read runs as one strategy read section and nothing else. All
+//! cross-thread visibility flows through the `solero-sync` facade so
+//! the model checker sees every step of the install.
 
 use std::collections::BTreeMap;
 
-use solero::{BoxedStrategy, Fault};
+use solero::{BoxedStrategy, Fault, WriteIntent};
 use solero_heap::{ClassId, Heap, ObjRef};
-use solero_sync::atomic::{fence, AtomicU64, Ordering};
+use solero_sync::atomic::{AtomicU64, Ordering};
 
 /// Directory object: one `ObjRef` slot per bucket.
 pub(crate) const DIR_CLASS: ClassId = ClassId::new(17);
@@ -20,9 +21,12 @@ pub(crate) type ShardOp = (i64, Option<i64>);
 
 pub(crate) struct Shard {
     pub(crate) strat: BoxedStrategy,
-    /// Seqlock epoch: odd while a writer is swinging directory slots,
-    /// even otherwise. Version = `epoch >> 1`.
-    epoch: AtomicU64,
+    /// Completed write batches. Written only inside the write section
+    /// and read inside read sections, so the strategy lock validates
+    /// it like any other datum. The writer's `Release` store pairs with
+    /// the `Acquire` loads in `version` and `snapshot`, so a reader that
+    /// sees a version also sees the directory swings before it.
+    version: AtomicU64,
     dir: ObjRef,
     pub(crate) base: i64,
     pub(crate) keys: i64,
@@ -52,7 +56,7 @@ impl Shard {
         }
         Shard {
             strat,
-            epoch: AtomicU64::new(0),
+            version: AtomicU64::new(0),
             dir,
             base,
             keys,
@@ -60,38 +64,17 @@ impl Shard {
         }
     }
 
-    /// Stable version: completed installs only.
+    /// Completed batches. Outside a section this is a point-in-time
+    /// reading; `snapshot` reads it inside the section that reads the
+    /// pairs.
     pub(crate) fn version(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst) >> 1
+        self.version.load(Ordering::Acquire)
     }
 
     fn slot_of(&self, key: i64) -> (u32, u32) {
         debug_assert!(key >= self.base && key < self.base + self.keys);
         let off = (key - self.base) as u64;
         ((off / self.width as u64) as u32, (off % self.width as u64) as u32)
-    }
-
-    /// Epoch capture at section entry. An odd value means an install is
-    /// mid-flight; returning [`Fault::Inconsistent`] hands the attempt
-    /// to the elision driver, which classifies it as an
-    /// `async_revalidation_fail` abort and retries.
-    fn epoch_enter(&self) -> Result<u64, Fault> {
-        let e = self.epoch.load(Ordering::SeqCst);
-        if e & 1 == 1 {
-            return Err(Fault::Inconsistent);
-        }
-        Ok(e)
-    }
-
-    /// Epoch re-validation at section exit: the snapshot is discarded
-    /// unless no install started since entry. The fence keeps the data
-    /// loads above from sinking below the epoch re-read.
-    fn epoch_exit(&self, entry: u64) -> Result<(), Fault> {
-        fence(Ordering::SeqCst);
-        if self.epoch.load(Ordering::SeqCst) != entry {
-            return Err(Fault::Inconsistent);
-        }
-        Ok(())
     }
 
     /// Speculative value load; every heap fault here can be a
@@ -107,72 +90,63 @@ impl Shard {
         Ok(Some(heap.load_i64(bucket, BUCKET_CLASS, 1 + i)?))
     }
 
+    /// Collects the present pairs of `[lo, hi)` (shard-local bounds)
+    /// in ascending key order. Runs inside a read section: one
+    /// check-point per bucket bounds how stale a doomed speculation can
+    /// run, without per-key cost.
+    fn walk(
+        &self,
+        heap: &Heap,
+        ck: &mut dyn WriteIntent,
+        lo: i64,
+        hi: i64,
+    ) -> Result<Vec<(i64, i64)>, Fault> {
+        let mut pairs = Vec::new();
+        let mut key = lo;
+        while key < hi {
+            let (b, i0) = self.slot_of(key);
+            let bucket = heap.load_ref(self.dir, DIR_CLASS, b)?;
+            let bits = heap.load(bucket, BUCKET_CLASS, 0)?;
+            let last = (self.width - 1).min((hi - 1 - self.base) as u32 - b * self.width);
+            for i in i0..=last {
+                if bits >> i & 1 == 1 {
+                    let k = self.base + (b * self.width + i) as i64;
+                    pairs.push((k, heap.load_i64(bucket, BUCKET_CLASS, 1 + i)?));
+                }
+            }
+            ck.checkpoint()?;
+            key = self.base + ((b + 1) * self.width) as i64;
+        }
+        Ok(pairs)
+    }
+
     /// Elided point-get.
     pub(crate) fn get(&self, heap: &Heap, key: i64) -> Result<Option<i64>, Fault> {
         self.strat.read_with(|ck| {
-            let e = self.epoch_enter()?;
             let v = self.load_value(heap, key)?;
             ck.checkpoint()?;
-            self.epoch_exit(e)?;
             Ok(v)
         })
     }
 
-    /// Elided scan of `[lo, hi)` (shard-local bounds): one section and
-    /// **one** epoch validation for the whole segment. Present pairs
-    /// are appended in ascending key order.
+    /// Elided scan of `[lo, hi)` (shard-local bounds): one read section
+    /// for the whole segment. Present pairs come in ascending key order.
     pub(crate) fn scan(&self, heap: &Heap, lo: i64, hi: i64) -> Result<Vec<(i64, i64)>, Fault> {
         debug_assert!(lo >= self.base && hi <= self.base + self.keys && lo <= hi);
-        self.strat.read_with(|ck| {
-            let e = self.epoch_enter()?;
-            let mut pairs = Vec::new();
-            let mut key = lo;
-            while key < hi {
-                let (b, i0) = self.slot_of(key);
-                let bucket = heap.load_ref(self.dir, DIR_CLASS, b)?;
-                let bits = heap.load(bucket, BUCKET_CLASS, 0)?;
-                let last = (self.width - 1).min((hi - 1 - self.base) as u32
-                    - b * self.width);
-                for i in i0..=last {
-                    if bits >> i & 1 == 1 {
-                        let k = self.base + (b * self.width + i) as i64;
-                        pairs.push((k, heap.load_i64(bucket, BUCKET_CLASS, 1 + i)?));
-                    }
-                }
-                // One check-point per bucket bounds how stale a doomed
-                // speculation can run, without per-key cost.
-                ck.checkpoint()?;
-                key = self.base + ((b + 1) * self.width) as i64;
-            }
-            self.epoch_exit(e)?;
-            Ok(pairs)
-        })
+        self.strat.read_with(|ck| self.walk(heap, ck, lo, hi))
     }
 
-    /// Elided whole-shard snapshot, tagged with the validated version.
+    /// Elided whole-shard snapshot, tagged with the version read in the
+    /// same section as the pairs.
     pub(crate) fn snapshot(&self, heap: &Heap) -> Result<(u64, Vec<(i64, i64)>), Fault> {
         self.strat.read_with(|ck| {
-            let e = self.epoch_enter()?;
-            let mut pairs = Vec::new();
-            let buckets = ((self.keys + self.width as i64 - 1) / self.width as i64) as u32;
-            for b in 0..buckets {
-                let bucket = heap.load_ref(self.dir, DIR_CLASS, b)?;
-                let bits = heap.load(bucket, BUCKET_CLASS, 0)?;
-                let last = (self.width - 1).min((self.keys - 1) as u32 - b * self.width);
-                for i in 0..=last {
-                    if bits >> i & 1 == 1 {
-                        let k = self.base + (b * self.width + i) as i64;
-                        pairs.push((k, heap.load_i64(bucket, BUCKET_CLASS, 1 + i)?));
-                    }
-                }
-                ck.checkpoint()?;
-            }
-            self.epoch_exit(e)?;
-            Ok((e >> 1, pairs))
+            let version = self.version.load(Ordering::Acquire);
+            let pairs = self.walk(heap, ck, self.base, self.base + self.keys)?;
+            Ok((version, pairs))
         })
     }
 
-    /// One write batch as one write section + one epoch bump.
+    /// One write batch as one write section and one version step.
     pub(crate) fn apply(&self, heap: &Heap, ops: &[ShardOp]) -> Result<(), Fault> {
         self.strat.write_with(|| self.apply_locked(heap, ops))
     }
@@ -186,8 +160,9 @@ impl Shard {
         })
     }
 
-    /// The COW-install/epoch-bump handshake. Caller holds the shard's
-    /// write lock (runs inside a `write_with` section).
+    /// The COW install. Caller holds the shard's write lock (runs
+    /// inside a `write_with` section), so no reader validates a section
+    /// that overlaps it.
     fn apply_locked(&self, heap: &Heap, ops: &[ShardOp]) -> Result<(), Fault> {
         if ops.is_empty() {
             return Ok(());
@@ -205,8 +180,7 @@ impl Shard {
             by_bucket.entry(b).or_default().push((i, val));
         }
         // Build phase: full bucket copies, invisible to readers. Plain
-        // stores suffice — publication happens via the directory swing
-        // and the epoch RMWs below.
+        // stores suffice: the lock release publishes them.
         let mut installs: Vec<(u32, ObjRef, ObjRef)> = Vec::with_capacity(by_bucket.len());
         for (b, slot_ops) in by_bucket {
             let old = heap.load_ref(self.dir, DIR_CLASS, b)?;
@@ -230,19 +204,16 @@ impl Shard {
             heap.store(fresh, 0, bits)?;
             installs.push((b, old, fresh));
         }
-        // Install phase. Odd epoch first: any reader that overlaps the
-        // directory swings sees odd at entry or a changed value at
-        // exit, so no snapshot can mix two versions. The `SeqCst` RMWs
-        // also fence the build-phase stores on TSO — by the time the
-        // even bump is visible, every new bucket is.
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        // Install phase: swing the directory slots and step the
+        // version. A reader that overlaps any of it fails the strategy's
+        // validation, so no validated read mixes two versions.
         for &(b, _, fresh) in &installs {
             heap.store_ref(self.dir, b, fresh)?;
         }
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        // Old buckets are freed only after the new version is visible;
-        // a straggling reader touching one faults on the recycled
-        // generation and the driver retries it.
+        let v = self.version.load(Ordering::Relaxed);
+        self.version.store(v + 1, Ordering::Release);
+        // A straggling speculative reader touching an old bucket faults
+        // on the recycled generation; the driver validates and retries.
         for &(_, old, _) in &installs {
             heap.free(old);
         }

@@ -24,7 +24,7 @@ use crate::shard::{Shard, ShardOp};
 pub struct StoreConfig {
     /// Key space `[0, keys)`.
     pub keys: i64,
-    /// Number of range shards (each with its own lock and epoch).
+    /// Number of range shards (each with its own lock and version).
     pub shards: usize,
     /// Keys per copy-on-write bucket (1–63: the presence bitmap plus
     /// the bucket's in-range guard share one word).
@@ -86,8 +86,8 @@ impl StoreConfig {
     }
 }
 
-/// One shard's validated, epoch-tagged snapshot: every pair belongs to
-/// exactly `version` — never a mix of two installs.
+/// One shard's validated, version-tagged snapshot: every pair belongs
+/// to exactly `version` — never a mix of two installs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Shard index.
@@ -215,8 +215,8 @@ impl KvStore {
     ///
     /// # Errors
     ///
-    /// Genuine heap faults only; speculation artifacts (including epoch
-    /// instability) are retried by the elision driver.
+    /// Genuine heap faults only; speculation artifacts (a read that
+    /// overlapped a write section) are retried by the elision driver.
     ///
     /// # Panics
     ///
@@ -227,7 +227,7 @@ impl KvStore {
     }
 
     /// Bounded range-scan of `[start, start+len)`, clamped to the key
-    /// space: one elided section (one epoch validation) per shard
+    /// space: one elided section (one lock validation) per shard
     /// segment, concatenated in key order. Consistency is per shard —
     /// segments from different shards may sit at different versions,
     /// exactly like the checkpoint's version vector.
@@ -252,7 +252,7 @@ impl KvStore {
     }
 
     /// Inserts or updates `key`, returning the previous value. One
-    /// write section, one COW bucket, one epoch bump.
+    /// write section, one COW bucket, one version step.
     ///
     /// # Errors
     ///
@@ -277,7 +277,7 @@ impl KvStore {
     }
 
     /// Applies a write batch. Ops are grouped by shard; each shard's
-    /// group installs atomically under **one** epoch bump (the
+    /// group installs atomically under **one** version step (the
     /// single-writer-per-shard discipline makes a batch the shard's
     /// unit of versioning). Cross-shard batches are *not* atomic as a
     /// whole — shards version independently, as in the checkpoint cut.
@@ -304,7 +304,7 @@ impl KvStore {
         Ok(())
     }
 
-    /// One shard's validated, epoch-tagged snapshot.
+    /// One shard's validated, version-tagged snapshot.
     ///
     /// # Errors
     ///
@@ -319,7 +319,7 @@ impl KvStore {
     }
 
     /// Whole-store checkpoint: every shard snapshotted through its own
-    /// elided section. The cut can never mix epochs *within* a shard;
+    /// elided section. The cut can never mix versions *within* a shard;
     /// across shards it carries the version vector instead of
     /// pretending to a global point in time.
     ///
@@ -351,7 +351,10 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use solero::{JavaRwLock, LockStrategy, RwStrategy, SoleroConfig, SoleroStrategy};
+    use solero::{
+        BravoStrategy, JavaRwLock, LockStrategy, RwStrategy, SeqStrategy, SoleroConfig,
+        SoleroStrategy,
+    };
 
     fn small() -> StoreConfig {
         StoreConfig::new(256).with_shards(4).with_bucket_width(8)
@@ -362,12 +365,14 @@ mod tests {
         let makes: Vec<fn() -> BoxedStrategy> = vec![
             || Box::new(LockStrategy::new()),
             || Box::new(RwStrategy::<JavaRwLock>::new()),
+            || Box::new(BravoStrategy::new()),
             || Box::new(SoleroStrategy::new()),
             || {
                 Box::new(SoleroStrategy::configured(
                     SoleroConfig::builder().adaptive(true).build(),
                 ))
             },
+            || Box::new(SeqStrategy::new(0u64)),
         ];
         for make in makes {
             let store = KvStore::new_boxed(small(), make);

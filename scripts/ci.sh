@@ -61,6 +61,8 @@ RUSTFLAGS="--cfg solero_mc" CARGO_TARGET_DIR=target/mc \
 # (skip the exit re-read, demote it to Relaxed, stall the release
 # counter) and requires the checker to report a violating schedule and
 # replay it deterministically; the test fails if any mutant survives.
+# The skipped exit re-read must also break the MVCC store, whose only
+# validator is its strategy lock.
 echo "== tier-1: mc mutation-kill (each weakened protocol must fail) =="
 RUSTFLAGS="--cfg solero_mc" CARGO_TARGET_DIR=target/mc \
     cargo test -q --offline -p solero-mc --test mutation_kill
@@ -109,13 +111,16 @@ SOLERO_MC_SEED=0x5EEDB7A0 SOLERO_MC_BUDGET=20000 RUST_BACKTRACE=0 \
     -- --nocapture --test-threads=1 \
     | grep -E "mc\[|test result"
 
-# Budgeted store snapshot pass: the MVCC store's COW-install/epoch-bump
-# handshake drained three ways (exhaustive DFS, TSO store buffers, DPOR
-# with a checkpointer in the mix) with SOLERO_MC_BUDGET bounding each
-# search. The uncapped completeness run already happened in the main mc
-# step above; this pins the budget knob and the replay path for the
-# store protocol the same way the bravo step does.
-echo "== tier-1: mc store snapshot handshake (budgeted) =="
+# Budgeted store snapshot pass: the MVCC store's COW install, validated
+# by the shard's strategy lock alone, drained three ways (exhaustive
+# DFS, DPOR under TSO store buffers, DPOR with a checkpointer in the
+# mix) with SOLERO_MC_BUDGET bounding each search. The uncapped
+# completeness run already happened in the main mc step above, and the
+# mutation-kill step proves the lock carries the store: with the exit
+# re-read skipped, the store scenario validates a half batch. This pins
+# the budget knob and the replay path for the store the same way the
+# bravo step does.
+echo "== tier-1: mc store snapshot install (budgeted) =="
 SOLERO_MC_SEED=0x5EED5705 SOLERO_MC_BUDGET=20000 RUST_BACKTRACE=0 \
     RUSTFLAGS="--cfg solero_mc" CARGO_TARGET_DIR=target/mc \
     cargo test -q --offline -p solero-mc \
